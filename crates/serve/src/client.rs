@@ -98,6 +98,19 @@ impl Client {
         ProtoError::ConnectionLost { detail }
     }
 
+    /// Write one request frame, the body of every `send*` method: the
+    /// sticky error once the transport has failed, and a failed write
+    /// poisons the connection.
+    fn send_payload(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        if let Some(e) = self.lost_err() {
+            return Err(e);
+        }
+        write_frame(&mut self.stream, payload).map_err(|e| match e {
+            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
+            other => other,
+        })
+    }
+
     /// Send one request without waiting for its response (pipelining).
     /// Responses arrive in send order; collect them with
     /// [`Client::recv`].
@@ -106,13 +119,7 @@ impl Client {
     /// [`ProtoError::ConnectionLost`] — deterministically, on every call
     /// — once the transport has failed.
     pub fn send(&mut self, session: &str, req: &SessionRequest) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_request_payload(session, req)).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_request_payload(session, req))
     }
 
     /// Send one request tagged with a trace context (pipelining, like
@@ -128,17 +135,7 @@ impl Client {
         req: &SessionRequest,
         ctx: TraceCtx,
     ) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(
-            &mut self.stream,
-            &encode_traced_request_payload(session, req, ctx),
-        )
-        .map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_traced_request_payload(session, req, ctx))
     }
 
     /// Send one traced request and wait for its response.
@@ -267,13 +264,7 @@ impl Client {
     /// slots into this connection's FIFO like any other request, so a
     /// probe pipelined behind N requests observes all N.
     pub fn send_metrics(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_metrics_request_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_metrics_request_payload())
     }
 
     /// Receive the response to a [`Client::send_metrics`], parking delta
@@ -297,13 +288,7 @@ impl Client {
     /// Send a `Sessions` listing request without waiting (pipelining);
     /// collect the answer with [`Client::recv_sessions`].
     pub fn send_sessions(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_sessions_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_sessions_payload())
     }
 
     /// Receive the response to a [`Client::send_sessions`], parking
@@ -331,13 +316,7 @@ impl Client {
     /// afresh, so one collector per node sees every sampled span exactly
     /// once.
     pub fn send_trace(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_trace_request_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_trace_request_payload())
     }
 
     /// Receive the response to a [`Client::send_trace`], parking delta
@@ -362,13 +341,7 @@ impl Client {
     /// Send a `Topology` request without waiting (pipelining); collect
     /// the answer with [`Client::recv_topology`].
     pub fn send_topology(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_topology_request_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_topology_request_payload())
     }
 
     /// Receive the response to a [`Client::send_topology`], parking
@@ -433,18 +406,10 @@ impl Client {
         min_seq: u64,
         wait: std::time::Duration,
     ) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
         let wait_ms = u64::try_from(wait.as_millis()).unwrap_or(u64::MAX);
-        write_frame(
-            &mut self.stream,
-            &encode_read_at_payload(session, view, gen, min_seq, wait_ms),
-        )
-        .map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_read_at_payload(
+            session, view, gen, min_seq, wait_ms,
+        ))
     }
 
     /// Send one read-your-writes read and wait for its answer (see

@@ -59,16 +59,24 @@
 //! requests and reads nothing owes the transport that memory; the cap
 //! bounds only the unsolicited stream.
 //!
-//! # Metrics across shards
+//! # All-shard requests
 //!
-//! A `Metrics` probe is a **barrier**: the reader enqueues it on every
-//! shard, each dispatcher passes it only after applying the requests it
-//! drained alongside it, and the last dispatcher through takes one
-//! snapshot per shard registry — each under that shard's snapshot gate,
-//! so it always lands on a batch boundary, never mid-batch — and merges
-//! them ([`MetricsSnapshot::merged`]).  A probe pipelined behind N
-//! requests on one connection therefore observes all N, and every
-//! snapshot it returns is post-batch consistent per shard.
+//! A request that must reach every shard (`Metrics`, `Sessions`,
+//! `Trace`, `Topology`, plus the internal `Cancel`, `Retarget` and
+//! `Promote`) is one `Item::Broadcast`: a single item, shared by every
+//! shard queue, carrying one countdown.  Each dispatcher does its part
+//! when the item reaches it — contributes rows to the shared
+//! accumulator, acts on its own partition, or both — and the last one
+//! through answers: a response frame, the `Promote` result, or nothing.
+//! Where in a drain a shard passes it is fixed: `Retarget` and `Cancel`
+//! act before the batch runs; `Sessions`, `Metrics`, `Trace` and
+//! `Topology` after the batch, its event drain, shipments and `ReadAt`
+//! re-evaluation; `Promote` dead last.  So the wire verbs are
+//! **barriers**: one pipelined behind N requests on a connection
+//! observes all N, on every shard.  A `Metrics` answer takes each
+//! shard's snapshot under that shard's snapshot gate, so it lands on a
+//! batch boundary, never mid-batch, before merging them
+//! ([`MetricsSnapshot::merged`]).
 
 use crate::proto::{
     decode_wire_request, encode_event_payload, encode_heartbeat_payload,
@@ -179,27 +187,6 @@ pub(crate) struct ApplyReport {
     pub outcome: Result<u64, ApplyError>,
 }
 
-/// A parked `Sessions` listing mid-fan-out: the requesting connection
-/// and seq, the countdown across shards, and the accumulated names.
-type ListingSlot = (u64, u64, Arc<AtomicUsize>, Arc<Mutex<Vec<String>>>);
-
-/// A parked `Topology` probe mid-fan-out: like [`ListingSlot`], but each
-/// shard contributes `(session, gen, applied_seq)` rows.
-type TopoSlot = (
-    u64,
-    u64,
-    Arc<AtomicUsize>,
-    Arc<Mutex<Vec<(String, u64, u64)>>>,
-);
-
-/// A parked session adoption: the name, the boxed `Session<F>` in
-/// transit to its shard, and the channel the outcome is acked on.
-type AdoptSlot = (
-    String,
-    Box<dyn Any + Send>,
-    mpsc::Sender<Result<(), String>>,
-);
-
 /// One item on a shard's queue.
 enum Item {
     /// A request bound for this shard's service partition.  `trace` is
@@ -214,17 +201,6 @@ enum Item {
         req: SessionRequest,
         trace: Option<(TraceCtx, Instant)>,
     },
-    /// A metrics probe (enqueued on *every* shard); `left` counts the
-    /// shards that have not yet passed it.  Whoever decrements it to
-    /// zero answers.
-    Probe {
-        conn: u64,
-        seq: u64,
-        left: Arc<AtomicUsize>,
-    },
-    /// A connection died (enqueued on *every* shard): drop its
-    /// subscriptions from the sessions so they stop publishing.
-    Cancel { conn: u64 },
     /// A follower asks to tail `session`'s WAL: answer with an ack, ship
     /// the catch-up, keep shipping live writes until the stream dies.
     Replicate {
@@ -241,23 +217,6 @@ enum Item {
         kind: ApplyKind,
         done: mpsc::Sender<ApplyReport>,
     },
-    /// (Follower side) promotion barrier, enqueued on *every* shard
-    /// after the tail loop has stopped: fsync every session of this
-    /// shard's partition and flip it writable.  Queue order guarantees
-    /// pending `Apply` items land first.
-    Promote {
-        done: mpsc::Sender<Result<(), String>>,
-    },
-    /// A session-listing barrier (enqueued on *every* shard, like
-    /// [`Item::Probe`]): each dispatcher appends its partition's durable
-    /// session names to `acc`; whoever decrements `left` to zero answers
-    /// with the merged, sorted list plus the root-leader hint.
-    Sessions {
-        conn: u64,
-        seq: u64,
-        left: Arc<AtomicUsize>,
-        acc: Arc<Mutex<Vec<String>>>,
-    },
     /// Adopt a freshly opened session into this shard's running service
     /// partition (`Server::adopt_session`).  The box holds a
     /// `Session<F>`, type-erased so this queue stays monomorphic.
@@ -266,42 +225,59 @@ enum Item {
         session: Box<dyn Any + Send>,
         done: mpsc::Sender<Result<(), String>>,
     },
-    /// A read-your-writes read: answer `Read { view }` on `session` once
-    /// its WAL position reaches `(gen, min_seq)`, or refuse with a typed
-    /// `Lagging` error when `deadline` passes first.  Waiting happens in
-    /// dispatcher-local state — the queue is never blocked.
-    ReadAt {
-        conn: u64,
-        seq: u64,
-        session: String,
-        view: String,
-        gen: u64,
-        min_seq: u64,
-        deadline: Instant,
-    },
-    /// (Follower side) repoint this shard's read-only sessions'
-    /// `NotLeader { leader_addr }` target at a new root leader (enqueued
-    /// on *every* shard when a chained upstream learns its root moved).
-    /// Writable sessions are untouched.
-    Retarget { leader: String },
-    /// A trace-drain barrier (enqueued on *every* shard, like
-    /// [`Item::Probe`]): whoever decrements `left` to zero drains every
-    /// shard registry's span buffer and answers with the merge.
-    Trace {
-        conn: u64,
-        seq: u64,
-        left: Arc<AtomicUsize>,
-    },
-    /// A topology barrier (enqueued on *every* shard): each dispatcher
-    /// appends its partition's `(session, gen, applied)` rows to `acc`;
-    /// whoever decrements `left` to zero folds in the shared link state
-    /// and answers with a [`TopologyReply`].
-    Topology {
-        conn: u64,
-        seq: u64,
-        left: Arc<AtomicUsize>,
-        acc: Arc<Mutex<Vec<(String, u64, u64)>>>,
-    },
+    /// A read-your-writes read (see [`WaitingRead`]).
+    ReadAt(WaitingRead),
+    /// An all-shard request (enqueued on *every* shard).
+    Broadcast(Arc<Broadcast>),
+}
+
+/// What an all-shard request does at each shard, and what the last shard
+/// through answers.  `(conn, seq)` names the wire request to answer.
+enum Fanout {
+    /// A connection died: drop its subscriptions and replication streams,
+    /// so the sessions stop deriving frames nobody will receive.
+    Cancel(u64),
+    /// (Follower side) repoint the read-only sessions' `NotLeader` target
+    /// at a new root leader.  Writable sessions are untouched.
+    Retarget(String),
+    /// Answer with every shard registry's snapshot, merged.
+    Metrics(u64, u64),
+    /// Answer with every shard's drained span buffer, merged.
+    Trace(u64, u64),
+    /// Answer with the sorted durable session names and the root-leader
+    /// hint.
+    Sessions(u64, u64),
+    /// Answer with the durable positions folded into a [`TopologyReply`].
+    Topology(u64, u64),
+    /// (Follower side) fsync every session and flip it writable; the
+    /// first failure, or `Ok`, goes back on the channel.
+    Promote(mpsc::Sender<Result<(), String>>),
+}
+
+/// One all-shard request: the same item rides every shard queue, and
+/// whoever takes `left` to zero answers.
+struct Broadcast {
+    what: Fanout,
+    /// Shards that have not yet passed it.
+    left: AtomicUsize,
+    /// Every durable session's `(name, gen, applied)` row, contributed
+    /// shard by shard.
+    rows: Mutex<Vec<(String, u64, u64)>>,
+    /// The first shard failure.
+    failed: Mutex<Option<String>>,
+}
+
+impl Broadcast {
+    /// Where in its drain a dispatcher passes this request: 0 before the
+    /// batch runs; 1 after the batch, its events, shipments and `ReadAt`
+    /// re-evaluation; 2 dead last.
+    fn phase(&self) -> u8 {
+        match self.what {
+            Fanout::Cancel(_) | Fanout::Retarget(_) => 0,
+            Fanout::Promote(_) => 2,
+            _ => 1,
+        }
+    }
 }
 
 /// Server-side instruments, registered on shard 0's [`Registry`] (the
@@ -380,6 +356,7 @@ enum RouteChange {
 
 /// The outbound half of one connection, owned by its writer thread and
 /// fed by dispatchers.
+#[derive(Default)]
 struct OutState {
     /// The sequence number the wire expects next.
     next_seq: u64,
@@ -468,8 +445,67 @@ struct Shared {
     obs: ServeObs,
 }
 
+impl Shared {
+    /// Shared state for one dispatcher shard per registry; the
+    /// server-side instruments register on the first.
+    fn new(registries: Vec<Registry>, options: &ServeOptions) -> Shared {
+        Shared {
+            shards: registries
+                .iter()
+                .map(|_| ShardQueue {
+                    queue: Mutex::new(VecDeque::new()),
+                    wake: Condvar::new(),
+                })
+                .collect(),
+            snap_gates: registries.iter().map(|_| Mutex::new(())).collect(),
+            obs: ServeObs::new(&registries[0]),
+            registries,
+            stop: AtomicBool::new(false),
+            conns: Mutex::new(BTreeMap::new()),
+            readers: Mutex::new(Vec::new()),
+            writers: Mutex::new(Vec::new()),
+            event_outbox_cap: options.event_outbox_cap.max(1),
+            repl_outbox_cap: options.repl_outbox_cap.max(1),
+            read_timeout: options.read_timeout,
+            heartbeat_interval: options.heartbeat_interval,
+            repl_conns: Mutex::new(BTreeMap::new()),
+            leader_hint: Mutex::new(None),
+            topo: Mutex::new(TopoState::default()),
+        }
+    }
+
+    /// Connection `conn`'s outbound slot, if it is still open.
+    fn conn(&self, conn: u64) -> Option<Arc<ConnSlot>> {
+        self.conns.lock().expect("conns").get(&conn).map(Arc::clone)
+    }
+
+    /// Push `item` on `shard`'s queue, raise the depth gauge, and wake
+    /// the shard's dispatcher: the one way onto a shard queue.
+    fn enqueue(&self, shard: usize, item: Item) {
+        let sq = &self.shards[shard];
+        let mut q = sq.queue.lock().expect("queue");
+        q.push_back(item);
+        self.obs.queue_depth_hwm.raise(q.len() as u64);
+        drop(q);
+        sq.wake.notify_one();
+    }
+
+    /// Enqueue one all-shard request on every shard queue.
+    fn broadcast(&self, what: Fanout) {
+        let b = Arc::new(Broadcast {
+            what,
+            left: AtomicUsize::new(self.shards.len()),
+            rows: Mutex::default(),
+            failed: Mutex::default(),
+        });
+        for shard in 0..self.shards.len() {
+            self.enqueue(shard, Item::Broadcast(Arc::clone(&b)));
+        }
+    }
+}
+
 /// What the replica layer tells the server about its place in the
-/// replication tree (see [`Item::Topology`]).
+/// replication tree (see [`Fanout::Topology`]).
 #[derive(Default)]
 struct TopoState {
     /// The upstream this node tails (`None` on a root, cleared on
@@ -575,28 +611,8 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
                 .dtracer()
                 .configure(&node, options.trace_sample);
         }
-        let shared = Arc::new(Shared {
-            shards: (0..shards)
-                .map(|_| ShardQueue {
-                    queue: Mutex::new(VecDeque::new()),
-                    wake: Condvar::new(),
-                })
-                .collect(),
-            snap_gates: (0..shards).map(|_| Mutex::new(())).collect(),
-            registries: parts.iter().map(|p| p.registry().clone()).collect(),
-            stop: AtomicBool::new(false),
-            conns: Mutex::new(BTreeMap::new()),
-            readers: Mutex::new(Vec::new()),
-            writers: Mutex::new(Vec::new()),
-            event_outbox_cap: options.event_outbox_cap.max(1),
-            repl_outbox_cap: options.repl_outbox_cap.max(1),
-            read_timeout: options.read_timeout,
-            heartbeat_interval: options.heartbeat_interval,
-            repl_conns: Mutex::new(BTreeMap::new()),
-            leader_hint: Mutex::new(None),
-            topo: Mutex::new(TopoState::default()),
-            obs: ServeObs::new(parts[0].registry()),
-        });
+        let registries = parts.iter().map(|p| p.registry().clone()).collect();
+        let shared = Arc::new(Shared::new(registries, &options));
 
         let accept = {
             let shared = Arc::clone(&shared);
@@ -633,16 +649,14 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
     ) -> mpsc::Receiver<ApplyReport> {
         let (tx, rx) = mpsc::channel();
         let shard = shard_of(session, self.shared.shards.len());
-        let sq = &self.shared.shards[shard];
-        let mut q = sq.queue.lock().expect("queue");
-        q.push_back(Item::Apply {
-            session: session.to_string(),
-            kind,
-            done: tx,
-        });
-        self.shared.obs.queue_depth_hwm.raise(q.len() as u64);
-        drop(q);
-        sq.wake.notify_one();
+        self.shared.enqueue(
+            shard,
+            Item::Apply {
+                session: session.to_string(),
+                kind,
+                done: tx,
+            },
+        );
         rx
     }
 
@@ -651,20 +665,8 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
     /// fsync its partition and flip its sessions writable.
     pub(crate) fn promote_partitions(&self) -> Result<(), String> {
         let (tx, rx) = mpsc::channel();
-        for sq in &self.shared.shards {
-            let mut q = sq.queue.lock().expect("queue");
-            q.push_back(Item::Promote { done: tx.clone() });
-            drop(q);
-            sq.wake.notify_one();
-        }
-        drop(tx);
-        let mut result = Ok(());
-        for r in rx {
-            if result.is_ok() {
-                result = r;
-            }
-        }
-        result
+        self.shared.broadcast(Fanout::Promote(tx));
+        rx.recv().unwrap_or(Ok(()))
     }
 
     /// (Replica plumbing) repoint every read-only session's `NotLeader`
@@ -672,14 +674,7 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
     /// fire-and-forget — queue order puts it ahead of any write that
     /// would be rejected with the stale address.
     pub(crate) fn retarget(&self, leader: String) {
-        for sq in &self.shared.shards {
-            let mut q = sq.queue.lock().expect("queue");
-            q.push_back(Item::Retarget {
-                leader: leader.clone(),
-            });
-            drop(q);
-            sq.wake.notify_one();
-        }
+        self.shared.broadcast(Fanout::Retarget(leader));
     }
 
     /// Number of dispatcher shards.
@@ -737,16 +732,14 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
     pub fn adopt_session(&self, name: &str, session: Session<F>) -> Result<(), String> {
         let (tx, rx) = mpsc::channel();
         let shard = shard_of(name, self.shared.shards.len());
-        let sq = &self.shared.shards[shard];
-        let mut q = sq.queue.lock().expect("queue");
-        q.push_back(Item::Adopt {
-            name: name.to_owned(),
-            session: Box::new(session),
-            done: tx,
-        });
-        self.shared.obs.queue_depth_hwm.raise(q.len() as u64);
-        drop(q);
-        sq.wake.notify_one();
+        self.shared.enqueue(
+            shard,
+            Item::Adopt {
+                name: name.to_owned(),
+                session: Box::new(session),
+                done: tx,
+            },
+        );
         rx.recv()
             .map_err(|_| "server stopped before the adoption ran".to_owned())?
     }
@@ -811,16 +804,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         next_conn += 1;
         shared.obs.connections.inc();
         let slot = Arc::new(ConnSlot {
-            state: Mutex::new(OutState {
-                next_seq: 0,
-                pending: BTreeMap::new(),
-                ready: VecDeque::new(),
-                active: BTreeSet::new(),
-                parked: BTreeMap::new(),
-                dead: BTreeSet::new(),
-                queued: BTreeMap::new(),
-                closed: false,
-            }),
+            state: Mutex::new(OutState::default()),
             wake: Condvar::new(),
             stream: control,
         });
@@ -853,67 +837,45 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
             Ok(Some(payload)) => match decode_wire_request(&payload) {
                 Ok(wire) => {
                     shared.obs.frames_in.inc();
+                    let dispatch = |session: String, req, trace| {
+                        let shard = shard_of(&session, n_shards);
+                        let item = Item::Dispatch {
+                            conn,
+                            seq,
+                            session,
+                            req,
+                            trace,
+                        };
+                        shared.enqueue(shard, item);
+                    };
                     match wire {
-                        WireRequest::Dispatch(session, req) => {
-                            let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::Dispatch {
-                                conn,
-                                seq,
-                                session,
-                                req,
-                                trace: None,
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
-                        }
+                        WireRequest::Dispatch(session, req) => dispatch(session, req, None),
                         WireRequest::DispatchTraced { session, req, ctx } => {
-                            let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::Dispatch {
-                                conn,
-                                seq,
-                                session,
-                                req,
-                                trace: Some((ctx, Instant::now())),
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
+                            dispatch(session, req, Some((ctx, Instant::now())));
                         }
                         WireRequest::Replicate {
                             session,
                             from_seq,
                             gen,
-                        } => {
-                            let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::Replicate {
+                        } => shared.enqueue(
+                            shard_of(&session, n_shards),
+                            Item::Replicate {
                                 conn,
                                 seq,
                                 session,
                                 from_seq,
                                 gen,
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
-                        }
+                            },
+                        ),
                         WireRequest::ReadAt {
                             session,
                             view,
                             gen,
                             min_seq,
                             wait_ms,
-                        } => {
-                            let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::ReadAt {
+                        } => shared.enqueue(
+                            shard_of(&session, n_shards),
+                            Item::ReadAt(WaitingRead {
                                 conn,
                                 seq,
                                 session,
@@ -924,79 +886,16 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
                                 // overflow `Instant` arithmetic.
                                 deadline: Instant::now()
                                     + Duration::from_millis(wait_ms.min(86_400_000)),
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
-                        }
-                        // A metrics probe fans out to every shard as a
-                        // barrier; the countdown picks the answerer.
-                        WireRequest::Metrics => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Probe {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
-                        }
-                        // A session listing is a barrier too: every
-                        // shard contributes its partition's names.
-                        WireRequest::Sessions => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            let acc = Arc::new(Mutex::new(Vec::new()));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Sessions {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                    acc: Arc::clone(&acc),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
-                        }
-                        // A trace drain is a barrier like a metrics
-                        // probe: pipelined traced writes land first.
-                        WireRequest::Trace => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Trace {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
-                        }
-                        // Topology: every shard contributes its
-                        // partition's replication positions.
-                        WireRequest::Topology => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            let acc = Arc::new(Mutex::new(Vec::new()));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Topology {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                    acc: Arc::clone(&acc),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
-                        }
+                            }),
+                        ),
+                        // The all-shard verbs are barriers: each shard
+                        // passes one only after the requests drained
+                        // alongside it, so it observes everything
+                        // pipelined ahead of it on this connection.
+                        WireRequest::Metrics => shared.broadcast(Fanout::Metrics(conn, seq)),
+                        WireRequest::Sessions => shared.broadcast(Fanout::Sessions(conn, seq)),
+                        WireRequest::Trace => shared.broadcast(Fanout::Trace(conn, seq)),
+                        WireRequest::Topology => shared.broadcast(Fanout::Topology(conn, seq)),
                     }
                     seq += 1;
                 }
@@ -1068,14 +967,7 @@ fn drop_connection(conn: u64, shared: &Shared) {
     if shared.stop.load(Ordering::SeqCst) {
         return; // dispatchers are exiting; shutdown merges state anyway
     }
-    // Tell every shard to drop the connection's subscriptions, so the
-    // sessions stop deriving deltas nobody will receive.
-    for sq in &shared.shards {
-        let mut q = sq.queue.lock().expect("queue");
-        q.push_back(Item::Cancel { conn });
-        drop(q);
-        sq.wake.notify_one();
-    }
+    shared.broadcast(Fanout::Cancel(conn));
 }
 
 /// The per-connection writer: pops wire-ordered frames and writes them.
@@ -1148,13 +1040,7 @@ fn deliver_response(
     payload: Vec<u8>,
     change: Option<RouteChange>,
 ) {
-    let Some(slot) = shared
-        .conns
-        .lock()
-        .expect("conns")
-        .get(&conn)
-        .map(Arc::clone)
-    else {
+    let Some(slot) = shared.conn(conn) else {
         return; // connection already gone; drop the response
     };
     let mut st = slot.state.lock().expect("out state");
@@ -1223,13 +1109,7 @@ enum EventOutcome {
 /// subscription's `Subscribed` response has not reached the wire order
 /// yet, and enforcing the per-subscription outbox cap.
 fn deliver_event(shared: &Shared, conn: u64, session: &str, event: &DeltaEvent) -> EventOutcome {
-    let Some(slot) = shared
-        .conns
-        .lock()
-        .expect("conns")
-        .get(&conn)
-        .map(Arc::clone)
-    else {
+    let Some(slot) = shared.conn(conn) else {
         return EventOutcome::Gone;
     };
     let mut st = slot.state.lock().expect("out state");
@@ -1307,13 +1187,7 @@ fn deliver_repl_frame(
     key: &StreamKey,
     frame: Vec<u8>,
 ) -> EventOutcome {
-    let Some(slot) = shared
-        .conns
-        .lock()
-        .expect("conns")
-        .get(&conn)
-        .map(Arc::clone)
-    else {
+    let Some(slot) = shared.conn(conn) else {
         return EventOutcome::Gone;
     };
     let mut st = slot.state.lock().expect("out state");
@@ -1382,9 +1256,12 @@ fn remove_repl_target<F: ComponentFamily + Send + Sync>(
     }
 }
 
-/// One read-your-writes wait parked at a dispatcher (see
-/// [`Item::ReadAt`]): re-evaluated after every drain, expired by a timed
-/// queue wait when the shard goes idle.
+/// A read-your-writes read: answer `Read { view }` on `session` once its
+/// WAL position reaches `(gen, min_seq)`, or refuse with a typed
+/// `Lagging` error when `deadline` passes first.  Waiting happens in
+/// dispatcher-local state — the queue is never blocked: the wait is
+/// re-evaluated after every drain, and expired by a timed queue wait
+/// when the shard goes idle.
 struct WaitingRead {
     conn: u64,
     seq: u64,
@@ -1400,7 +1277,6 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
     mut service: Service<F>,
     shared: &Shared,
 ) -> Service<F> {
-    let n_shards = shared.shards.len();
     // This shard's distributed-span sink (configured with the serving
     // address at bind); requests without a sampled trace context cost
     // one `None` check here and nothing else.
@@ -1439,21 +1315,13 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
             }
             q.drain(..).collect()
         };
-        // Split the drain into the dispatchable batch, the metrics
-        // probes, and connection cancellations, remembering where each
-        // answer goes.
+        // Split the drain into the dispatchable batch and the items
+        // handled around it, remembering where each answer goes.
         let mut batch: Vec<(String, SessionRequest, Option<TraceCtx>)> = Vec::new();
         let mut slots: Vec<(u64, u64, usize)> = Vec::new();
-        let mut probes: Vec<(u64, u64, Arc<AtomicUsize>)> = Vec::new();
-        let mut cancels: Vec<u64> = Vec::new();
         let mut replicates: Vec<(u64, u64, String, u64, u64)> = Vec::new();
         let mut applies: Vec<(String, ApplyKind, mpsc::Sender<ApplyReport>)> = Vec::new();
-        let mut promotes: Vec<mpsc::Sender<Result<(), String>>> = Vec::new();
-        let mut listings: Vec<ListingSlot> = Vec::new();
-        let mut adopts: Vec<AdoptSlot> = Vec::new();
-        let mut retargets: Vec<String> = Vec::new();
-        let mut traces: Vec<(u64, u64, Arc<AtomicUsize>)> = Vec::new();
-        let mut topos: Vec<TopoSlot> = Vec::new();
+        let mut broadcasts: Vec<Arc<Broadcast>> = Vec::new();
         for item in drained {
             match item {
                 Item::Dispatch {
@@ -1482,8 +1350,6 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                     slots.push((conn, seq, batch.len()));
                     batch.push((session, req, ctx));
                 }
-                Item::Probe { conn, seq, left } => probes.push((conn, seq, left)),
-                Item::Cancel { conn } => cancels.push(conn),
                 Item::Replicate {
                     conn,
                     seq,
@@ -1496,96 +1362,32 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                     kind,
                     done,
                 } => applies.push((session, kind, done)),
-                Item::Promote { done } => promotes.push(done),
-                Item::Sessions {
-                    conn,
-                    seq,
-                    left,
-                    acc,
-                } => listings.push((conn, seq, left, acc)),
+                // Adoptions land at once, before anything else in this
+                // drain runs that might name the new session.
                 Item::Adopt {
                     name,
                     session,
                     done,
-                } => adopts.push((name, session, done)),
-                Item::ReadAt {
-                    conn,
-                    seq,
-                    session,
-                    view,
-                    gen,
-                    min_seq,
-                    deadline,
-                } => waiting_reads.push(WaitingRead {
-                    conn,
-                    seq,
-                    session,
-                    view,
-                    gen,
-                    min_seq,
-                    deadline,
-                }),
-                Item::Retarget { leader } => retargets.push(leader),
-                Item::Trace { conn, seq, left } => traces.push((conn, seq, left)),
-                Item::Topology {
-                    conn,
-                    seq,
-                    left,
-                    acc,
-                } => topos.push((conn, seq, left, acc)),
-            }
-        }
-        // Adoptions land before anything else in this drain that might
-        // name the new session (a `Replicate`, a dispatch, a listing).
-        for (name, session, done) in adopts {
-            let result = match session.downcast::<Session<F>>() {
-                Ok(s) => service.add_session(name, *s).map_err(|e| e.to_string()),
-                Err(_) => Err("adopted session is not this service's family type".to_owned()),
-            };
-            let _ = done.send(result);
-        }
-        // Retargets repoint read-only sessions at the new root leader
-        // before this drain's dispatches run, so a `NotLeader` rejection
-        // never names an address already known to be stale.
-        for leader in retargets {
-            let names: Vec<String> = service.session_names().map(str::to_owned).collect();
-            for name in names {
-                if let Some(s) = service.session_mut(&name) {
-                    if s.leader_addr().is_some() {
-                        s.set_read_only(Some(leader.clone()));
-                    }
+                } => {
+                    let result = match session.downcast::<Session<F>>() {
+                        Ok(s) => service.add_session(name, *s).map_err(|e| e.to_string()),
+                        Err(_) => {
+                            Err("adopted session is not this service's family type".to_owned())
+                        }
+                    };
+                    let _ = done.send(result);
                 }
+                Item::ReadAt(w) => waiting_reads.push(w),
+                Item::Broadcast(b) => broadcasts.push(b),
             }
         }
-        // A dead connection's subscriptions stop publishing before the
-        // batch runs — nobody is listening.
-        for conn in cancels {
-            let gone: Vec<StreamKey> = routes
-                .iter()
-                .filter(|&(_, c)| *c == conn)
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in gone {
-                routes.remove(&key);
-                if let StreamKey::Sub(session, sub) = &key {
-                    if let Some(session) = service.session_mut(session) {
-                        session.drop_subscription(*sub);
-                    }
-                }
-            }
-            // …and its replication streams stop shipping.
-            let tailed: Vec<(String, StreamKey)> = repl_routes
-                .iter()
-                .flat_map(|(session, targets)| {
-                    targets
-                        .iter()
-                        .filter(|(c, _)| *c == conn)
-                        .map(|(_, k)| (session.clone(), k.clone()))
-                })
-                .collect();
-            for (session, key) in tailed {
-                remove_repl_target(&mut repl_routes, &mut service, shared, &session, conn, &key);
-            }
+        // Phase-0 broadcasts (`Retarget`, `Cancel`) act before this
+        // drain's batch runs; the rest wait for it.  The sort is stable,
+        // so each phase keeps queue order.
+        broadcasts.sort_by_key(|b| b.phase());
+        let early = broadcasts.partition_point(|b| b.phase() == 0);
+        for b in &broadcasts[..early] {
+            pass_broadcast(b, &mut service, &mut routes, &mut repl_routes, shared);
         }
         // Open replication streams before running the batch: the
         // catch-up covers the log as it stands, and the tap (enabled
@@ -1910,117 +1712,132 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
             }
             waiting_reads = parked;
         }
-        // Session listings pass with the same barrier discipline as
-        // probes: each shard contributes after applying its share of the
-        // drain, the last one through answers.
-        for (conn, seq, left, acc) in listings {
-            {
-                let names: Vec<String> = service.session_names().map(str::to_owned).collect();
-                let mut acc = acc.lock().expect("sessions acc");
-                for name in names {
-                    if service.session(&name).is_some_and(|s| s.is_durable()) {
-                        acc.push(name);
+        // The other broadcasts pass only after everything drained
+        // alongside them has been applied, so by the time a countdown
+        // hits zero every shard has applied everything enqueued before
+        // it.  `Promote` (phase 2) goes dead last, behind every `Apply`.
+        for b in &broadcasts[early..] {
+            pass_broadcast(b, &mut service, &mut routes, &mut repl_routes, shared);
+        }
+    }
+}
+
+/// Pass one all-shard request at this shard: do this shard's part, count
+/// it off, and answer if this shard is the last one through.
+fn pass_broadcast<F: ComponentFamily + Send + Sync>(
+    b: &Broadcast,
+    service: &mut Service<F>,
+    routes: &mut BTreeMap<StreamKey, u64>,
+    repl_routes: &mut BTreeMap<String, Vec<(u64, StreamKey)>>,
+    shared: &Shared,
+) {
+    match &b.what {
+        Fanout::Cancel(conn) => {
+            let gone: Vec<StreamKey> = routes
+                .iter()
+                .filter(|&(_, c)| c == conn)
+                .map(|(k, _)| k.clone())
+                .collect();
+            for key in gone {
+                routes.remove(&key);
+                if let StreamKey::Sub(session, sub) = &key {
+                    if let Some(session) = service.session_mut(session) {
+                        session.drop_subscription(*sub);
                     }
                 }
             }
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut sessions = std::mem::take(&mut *acc.lock().expect("sessions acc"));
-                sessions.sort();
-                let reply = SessionsReply {
-                    leader: shared.leader_hint.lock().expect("leader hint").clone(),
-                    sessions,
-                };
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_sessions_reply_payload(&reply),
-                    None,
-                );
+            let tailed: Vec<(String, StreamKey)> = repl_routes
+                .iter()
+                .flat_map(|(session, targets)| {
+                    targets
+                        .iter()
+                        .filter(|(c, _)| c == conn)
+                        .map(|(_, k)| (session.clone(), k.clone()))
+                })
+                .collect();
+            for (session, key) in tailed {
+                remove_repl_target(repl_routes, service, shared, &session, *conn, &key);
             }
         }
-        // Probes pass only after the batch drained alongside them has
-        // been applied — so by the time the countdown hits zero, every
-        // shard has applied everything enqueued before the probe.
-        for (conn, seq, left) in probes {
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let parts: Vec<MetricsSnapshot> = (0..n_shards)
-                    .map(|j| {
-                        let _gate = shared.snap_gates[j].lock().expect("snap gate");
-                        shared.registries[j].snapshot()
-                    })
-                    .collect();
-                let merged = MetricsSnapshot::merged(parts.iter());
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_metrics_response_payload(&merged),
-                    None,
-                );
-            }
-        }
-        // A trace drain passes with the same barrier discipline, so a
-        // drain pipelined behind a traced write observes its spans.
-        for (conn, seq, left) in traces {
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let parts: Vec<TraceSnapshot> = (0..n_shards)
-                    .map(|j| shared.registries[j].dtracer().drain())
-                    .collect();
-                let merged = TraceSnapshot::merged(parts.iter());
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_trace_response_payload(&merged),
-                    None,
-                );
-            }
-        }
-        // Topology: contribute this partition's positions; the last
-        // shard through folds in the link state and answers.
-        for (conn, seq, left, acc) in topos {
-            {
-                let names: Vec<String> = service.session_names().map(str::to_owned).collect();
-                let mut acc = acc.lock().expect("topology acc");
-                for name in names {
-                    if let Some(s) = service.session(&name).filter(|s| s.is_durable()) {
-                        acc.push((name, s.wal_gen(), s.wal_last_seq()));
+        Fanout::Retarget(leader) => {
+            let names: Vec<String> = service.session_names().map(str::to_owned).collect();
+            for name in names {
+                if let Some(s) = service.session_mut(&name) {
+                    if s.leader_addr().is_some() {
+                        s.set_read_only(Some(leader.clone()));
                     }
                 }
             }
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut rows = std::mem::take(&mut *acc.lock().expect("topology acc"));
-                rows.sort();
-                let reply = assemble_topology(shared, rows);
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_topology_reply_payload(&reply),
-                    None,
-                );
+        }
+        Fanout::Sessions(..) | Fanout::Topology(..) => {
+            let mut rows = b.rows.lock().expect("broadcast rows");
+            for name in service.session_names() {
+                if let Some(s) = service.session(name).filter(|s| s.is_durable()) {
+                    rows.push((name.to_owned(), s.wal_gen(), s.wal_last_seq()));
+                }
             }
         }
-        // (Follower side) promotion barrier, dead last: every `Apply`
-        // drained alongside it has already landed, so fsync this
-        // partition's logs and flip its sessions writable.
-        for done in promotes {
-            let mut result: Result<(), String> = Ok(());
+        Fanout::Promote(_) => {
             let names: Vec<String> = service.session_names().map(str::to_owned).collect();
             for name in names {
                 let Some(s) = service.session_mut(&name) else {
                     continue;
                 };
                 if let Err(e) = s.sync_wal() {
-                    result = Err(format!("{name}: {e}"));
+                    let mut failed = b.failed.lock().expect("broadcast failure");
+                    failed.get_or_insert_with(|| format!("{name}: {e}"));
                     break;
                 }
                 s.set_read_only(None);
             }
-            let _ = done.send(result);
         }
+        Fanout::Metrics(..) | Fanout::Trace(..) => {}
     }
+    if b.left.fetch_sub(1, Ordering::AcqRel) != 1 {
+        return;
+    }
+    let mut rows = std::mem::take(&mut *b.rows.lock().expect("broadcast rows"));
+    rows.sort();
+    let n_shards = shared.shards.len();
+    let (conn, seq, payload) = match &b.what {
+        Fanout::Cancel(_) | Fanout::Retarget(_) => return,
+        Fanout::Promote(done) => {
+            let failed = b.failed.lock().expect("broadcast failure").take();
+            let _ = done.send(failed.map_or(Ok(()), Err));
+            return;
+        }
+        // Each shard's snapshot is taken under its gate, so it lands on
+        // a batch boundary, never mid-batch.
+        Fanout::Metrics(conn, seq) => {
+            let parts: Vec<MetricsSnapshot> = (0..n_shards)
+                .map(|j| {
+                    let _gate = shared.snap_gates[j].lock().expect("snap gate");
+                    shared.registries[j].snapshot()
+                })
+                .collect();
+            let merged = MetricsSnapshot::merged(parts.iter());
+            (conn, seq, encode_metrics_response_payload(&merged))
+        }
+        Fanout::Trace(conn, seq) => {
+            let parts: Vec<TraceSnapshot> = (0..n_shards)
+                .map(|j| shared.registries[j].dtracer().drain())
+                .collect();
+            let merged = TraceSnapshot::merged(parts.iter());
+            (conn, seq, encode_trace_response_payload(&merged))
+        }
+        Fanout::Sessions(conn, seq) => {
+            let reply = SessionsReply {
+                leader: shared.leader_hint.lock().expect("leader hint").clone(),
+                sessions: rows.into_iter().map(|(name, ..)| name).collect(),
+            };
+            (conn, seq, encode_sessions_reply_payload(&reply))
+        }
+        Fanout::Topology(conn, seq) => {
+            let reply = assemble_topology(shared, rows);
+            (conn, seq, encode_topology_reply_payload(&reply))
+        }
+    };
+    deliver_response(shared, *conn, *seq, payload, None);
 }
 
 /// Fold the per-shard `(session, gen, applied)` rows and the shared link
@@ -2097,27 +1914,16 @@ mod tests {
     use super::*;
     use crate::proto::decode_wal_frame_payload;
 
-    /// A `Shared` with no shards and no threads: just enough for the
-    /// writer-side delivery functions under test.
-    fn test_shared(repl_outbox_cap: usize) -> Arc<Shared> {
-        let registry = Registry::new();
-        Arc::new(Shared {
-            shards: Vec::new(),
-            snap_gates: Vec::new(),
-            registries: Vec::new(),
-            stop: AtomicBool::new(false),
-            conns: Mutex::new(BTreeMap::new()),
-            readers: Mutex::new(Vec::new()),
-            writers: Mutex::new(Vec::new()),
+    /// A `Shared` with `shards` idle queues and no threads: just enough
+    /// for the delivery and enqueue functions under test.
+    fn test_shared(shards: usize, repl_outbox_cap: usize) -> Arc<Shared> {
+        let options = ServeOptions {
             event_outbox_cap: 1,
             repl_outbox_cap,
-            read_timeout: None,
             heartbeat_interval: None,
-            repl_conns: Mutex::new(BTreeMap::new()),
-            leader_hint: Mutex::new(None),
-            topo: Mutex::new(TopoState::default()),
-            obs: ServeObs::new(&registry),
-        })
+            ..ServeOptions::default()
+        };
+        Arc::new(Shared::new(vec![Registry::new(); shards], &options))
     }
 
     /// A conn slot over a real loopback socket pair (no writer thread, so
@@ -2128,16 +1934,7 @@ mod tests {
         let far = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (near, _) = listener.accept().expect("accept");
         let slot = Arc::new(ConnSlot {
-            state: Mutex::new(OutState {
-                next_seq: 0,
-                pending: BTreeMap::new(),
-                ready: VecDeque::new(),
-                active: BTreeSet::new(),
-                parked: BTreeMap::new(),
-                dead: BTreeSet::new(),
-                queued: BTreeMap::new(),
-                closed: false,
-            }),
+            state: Mutex::new(OutState::default()),
             wake: Condvar::new(),
             stream: near,
         });
@@ -2147,6 +1944,18 @@ mod tests {
             .expect("conns")
             .insert(conn, Arc::clone(&slot));
         (slot, far)
+    }
+
+    /// A dead connection's `Cancel` broadcast counts against the queue
+    /// depth gauge like every other enqueue.
+    #[test]
+    fn cancel_broadcast_raises_queue_depth_hwm() {
+        let shared = test_shared(2, 1);
+        drop_connection(7, &shared);
+        assert!(shared.obs.queue_depth_hwm.get() >= 1);
+        for sq in &shared.shards {
+            assert_eq!(sq.queue.lock().expect("queue").len(), 1);
+        }
     }
 
     fn record_frame(session: &str, seq: u64) -> Vec<u8> {
@@ -2164,7 +1973,7 @@ mod tests {
     /// a gapless prefix, exactly what the delivery contract promises.
     #[test]
     fn repl_overflow_while_parked_flushes_owed_frames_then_end() {
-        let shared = test_shared(2);
+        let shared = test_shared(1, 2);
         let (slot, _far) = test_conn(&shared, 7);
         let key = StreamKey::Repl("s".to_owned(), 0);
 
@@ -2216,7 +2025,7 @@ mod tests {
     /// queue behind the frames already owed there.
     #[test]
     fn repl_overflow_while_active_queues_end_behind_owed_frames() {
-        let shared = test_shared(2);
+        let shared = test_shared(1, 2);
         let (slot, _far) = test_conn(&shared, 3);
         let key = StreamKey::Repl("s".to_owned(), 0);
         deliver_response(

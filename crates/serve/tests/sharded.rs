@@ -5,11 +5,11 @@
 
 use compview_core::SubschemaComponents;
 use compview_logic::Schema;
-use compview_obs::MetricsSnapshot;
+use compview_obs::{MetricsSnapshot, TraceCtx};
 use compview_relation::{rel, v, Instance, RelDecl, Signature, Tuple};
-use compview_serve::{Client, Server};
+use compview_serve::{Client, ServeOptions, Server};
 use compview_session::wal;
-use compview_session::{Service, Session, SessionConfig, SessionRequest, SyncPolicy};
+use compview_session::{MemStore, Service, Session, SessionConfig, SessionRequest, SyncPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -215,36 +215,144 @@ proptest! {
     }
 }
 
-/// A probe pipelined behind K requests observes all K — the cross-shard
-/// barrier — at every shard count, even when the requests scatter over
-/// all eight sessions (and so over every shard).
-#[test]
-fn probe_behind_pipelined_requests_observes_all_of_them() {
+/// An all-shard verb pipelined behind writes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Barrier {
+    Metrics,
+    Topology,
+    Trace,
+    Sessions,
+}
+
+/// Eight durable in-memory sessions `s0..s7` — enough names to land on
+/// every shard — plus one volatile session no listing may report.
+fn durable_service() -> Service<SubschemaComponents> {
+    let mut svc = Service::new();
+    for i in 0..8 {
+        let sig = sig();
+        let session = Session::open_durable(
+            SubschemaComponents::singletons(sig.clone()),
+            Schema::unconstrained(sig.clone()),
+            &pools(),
+            Instance::null_model(&sig).with("R", rel(1, [["a1"]])),
+            SessionConfig::default(),
+            Box::new(MemStore::new().0),
+            SyncPolicy::Always,
+        )
+        .unwrap();
+        svc.add_session(format!("s{i}"), session).unwrap();
+    }
+    svc.add_session("volatile", open()).unwrap();
+    svc
+}
+
+/// `verb` pipelined behind K writes observes all K — the cross-shard
+/// barrier — at every shard count, with the writes scattered over all
+/// eight durable sessions (and so over every shard).  For `Trace`, every
+/// write is traced and sampled.
+fn barrier_behind_pipelined_writes(verb: Barrier) {
     for shards in [1usize, 2, 8] {
-        let server = Server::bind_sharded("127.0.0.1:0", service_of(8), shards).unwrap();
+        let options = ServeOptions {
+            shards,
+            trace_sample: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", durable_service(), options).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
-        let k = 40usize;
+        // Per session: register `r`, then four updates that each move R.
+        let k = 40u64;
         for i in 0..k {
-            client
-                .send(&format!("s{}", i % 8), &SessionRequest::Stats)
-                .unwrap();
+            let session = format!("s{}", i % 8);
+            let req = match i / 8 {
+                0 => SessionRequest::RegisterView {
+                    name: "r".into(),
+                    mask: 0b01,
+                },
+                round => SessionRequest::Update {
+                    view: "r".into(),
+                    new_state: r_state(if round % 2 == 1 { 2 } else { 1 }),
+                },
+            };
+            if verb == Barrier::Trace {
+                let ctx = TraceCtx {
+                    trace_id: i + 1,
+                    parent_span: 0,
+                };
+                client.send_traced(&session, &req, ctx).unwrap();
+            } else {
+                client.send(&session, &req).unwrap();
+            }
         }
-        client.send_metrics().unwrap();
+        match verb {
+            Barrier::Metrics => client.send_metrics(),
+            Barrier::Topology => client.send_topology(),
+            Barrier::Trace => client.send_trace(),
+            Barrier::Sessions => client.send_sessions(),
+        }
+        .unwrap();
         for _ in 0..k {
             client.recv().unwrap().unwrap();
         }
-        let snap = client.recv_metrics().unwrap();
-        server.shutdown();
-        assert_eq!(
-            counter(&snap, "session.requests"),
-            k as u64,
-            "{shards} shards: barrier must observe every pipelined request"
-        );
-        assert_eq!(
-            counter(&snap, "session.requests"),
-            counter(&snap, "session.accepted") + counter(&snap, "session.rejected")
-        );
+        let ctx = format!("{verb:?} at {shards} shards");
+        match verb {
+            Barrier::Metrics => {
+                let snap = client.recv_metrics().unwrap();
+                server.shutdown();
+                assert_eq!(counter(&snap, "session.requests"), k, "{ctx}");
+                assert_eq!(
+                    counter(&snap, "session.requests"),
+                    counter(&snap, "session.accepted") + counter(&snap, "session.rejected")
+                );
+            }
+            Barrier::Topology => {
+                let reply = client.recv_topology().unwrap();
+                let svc = server.shutdown();
+                assert_eq!(reply.sessions.len(), 8, "{ctx}: durable sessions only");
+                for s in &reply.sessions {
+                    let wal_seq = svc.session(&s.name).unwrap().wal_last_seq();
+                    assert_eq!(s.applied, wal_seq, "{ctx}: {}", s.name);
+                    assert_eq!(s.applied, k / 8, "{ctx}: {}", s.name);
+                }
+            }
+            Barrier::Trace => {
+                let snap = client.recv_trace().unwrap();
+                server.shutdown();
+                let dispatches = snap
+                    .spans
+                    .iter()
+                    .filter(|s| s.label == "session.dispatch")
+                    .count();
+                assert_eq!(dispatches as u64, k, "{ctx}");
+            }
+            Barrier::Sessions => {
+                let reply = client.recv_sessions().unwrap();
+                server.shutdown();
+                let want: Vec<String> = (0..8).map(|i| format!("s{i}")).collect();
+                assert_eq!(reply.sessions, want, "{ctx}");
+                assert_eq!(reply.leader, None, "{ctx}");
+            }
+        }
     }
+}
+
+#[test]
+fn probe_behind_pipelined_requests_observes_all_of_them() {
+    barrier_behind_pipelined_writes(Barrier::Metrics);
+}
+
+#[test]
+fn topology_behind_pipelined_writes_reports_every_apply() {
+    barrier_behind_pipelined_writes(Barrier::Topology);
+}
+
+#[test]
+fn trace_behind_pipelined_writes_holds_every_dispatch_span() {
+    barrier_behind_pipelined_writes(Barrier::Trace);
+}
+
+#[test]
+fn sessions_behind_pipelined_writes_lists_every_durable_session() {
+    barrier_behind_pipelined_writes(Barrier::Sessions);
 }
 
 /// Snapshots taken *while* other connections are mid-batch on other

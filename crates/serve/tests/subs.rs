@@ -555,11 +555,19 @@ fn unknown_unsubscribe_is_a_typed_error() {
 
 /// A subscriber whose connection dies mid-stream is cleaned up: the
 /// session's live-subscription count returns to zero once the server
-/// notices, and other clients are untouched.
+/// notices, and other clients are untouched — at 1, 2 and 8 dispatcher
+/// shards, so the `Cancel` broadcast must reach whichever shard owns the
+/// session.
 #[test]
 fn dead_connection_drops_its_subscriptions() {
+    for shards in [1usize, 2, 8] {
+        dead_connection_drops_its_subscriptions_at(shards);
+    }
+}
+
+fn dead_connection_drops_its_subscriptions_at(shards: usize) {
     let _guard = ENV_LOCK.lock().unwrap();
-    let server = Server::bind("127.0.0.1:0", demo_service()).unwrap();
+    let server = Server::bind_sharded("127.0.0.1:0", demo_service(), shards).unwrap();
     let mut doomed = Client::connect(server.local_addr()).unwrap();
     let reply = doomed
         .request(
@@ -589,6 +597,9 @@ fn dead_connection_drops_its_subscriptions() {
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    assert_eq!(live, 0, "dead connection's subscription never dropped");
+    assert_eq!(
+        live, 0,
+        "{shards} shards: dead connection's subscription never dropped"
+    );
     server.shutdown();
 }

@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The library's size, tracked change to change: non-blank lines of every
+# crate's src/ tree (tests, benches and examples excluded).
+echo "==> library lines: $(find crates/*/src -name '*.rs' -exec cat {} + | grep -cv '^[[:space:]]*$')"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
