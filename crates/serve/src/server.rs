@@ -15,13 +15,14 @@
 //! `shard_of(session) % N`, the stable hash partition from
 //! `compview-session`.  Each of the N dispatcher threads owns one
 //! [`Service`] partition; each time it wakes it drains *its whole queue*
-//! as one batch, runs [`Service::dispatch`] (which fans that shard's
-//! sessions across the worker pool and group-commits each touched log
-//! with a single fsync), drains the delta events the batch committed,
-//! and hands both to the per-connection **writer**.  Sessions never move
-//! between shards, so per-session WAL bytes and responses are
-//! byte-identical to a single-dispatcher server — only the parallelism
-//! changes.
+//! as one batch, runs [`Service::dispatch`] on its own thread (serving
+//! that shard's touched sessions one after another and group-committing
+//! each touched log with a single fsync), drains the delta events the
+//! batch committed, and hands both to the per-connection **writer**.
+//! The shards are the only serving parallelism: a batch never fans out
+//! further.  Sessions never move between shards, so per-session WAL
+//! bytes and responses are byte-identical to a single-dispatcher server
+//! — only the parallelism changes.
 //!
 //! # Ordering
 //!

@@ -1,11 +1,13 @@
 //! A multi-session front end: named [`Session`]s and deterministic
-//! batch dispatch over the `compview-parallel` worker pool.
+//! batch dispatch.
 //!
 //! Sessions are fully independent (each owns its schema, pools, space,
-//! and views), so a batch of requests can be fanned out across sessions
-//! concurrently.  Determinism contract: per-session request order is the
-//! batch order, and session handling is sequential within a session, so
-//! the result vector is **byte-identical for every thread count**.
+//! and views).  A batch is served on the calling thread, session by
+//! session in name order and in batch order within a session, so the
+//! result vector is **byte-identical for every thread count**.  Serving
+//! parallelism comes from partitioning the sessions ([`Service::split`],
+//! [`ShardedService`], the TCP server's dispatcher shards), never from
+//! fanning one batch out.
 //!
 //! Durability is per-session too: [`Service::open_dir`] recovers every
 //! `*.wal` log in a directory, and a log that cannot be recovered
@@ -342,10 +344,11 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
         s.serve(req).map_err(DispatchError::Session)
     }
 
-    /// Dispatch a batch of `(session, request)` pairs across the worker
-    /// pool.  Results come back in batch order; requests to the same
-    /// session are served in batch order; sessions run concurrently.
-    /// The output is identical for every thread count.
+    /// Dispatch a batch of `(session, request)` pairs on the calling
+    /// thread.  Results come back in batch order; touched sessions are
+    /// served one after another in name order, each in batch order.  No
+    /// thread is spawned, so the output is identical for every thread
+    /// count.
     ///
     /// Durable sessions run their queue under **group commit**: the
     /// per-record fsyncs their [`SyncPolicy`] would issue are deferred
@@ -354,7 +357,9 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
     /// request.  Acknowledgement stays honest: if that final fsync
     /// fails, every durable request of the queue that reported `Ok` is
     /// turned into [`SessionError::Durability`], because none of the
-    /// queue's records is known to have reached disk.
+    /// queue's records is known to have reached disk.  The touched
+    /// sessions' fsyncs are issued one after another; overlapping them
+    /// is what dispatcher shards are for.
     pub fn dispatch(
         &mut self,
         batch: Vec<(String, SessionRequest)>,
@@ -382,7 +387,8 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
         self.batch_requests.record(batch.len() as u64);
         let mut out: Vec<Option<Result<SessionResponse, DispatchError>>> =
             batch.iter().map(|_| None).collect();
-        // Per-session queues, preserving batch order.
+        // Per-session queues, served in session-name order, each in
+        // batch order.
         type Queue = Vec<(usize, SessionRequest, Option<TraceCtx>)>;
         let mut queues: BTreeMap<String, Queue> = BTreeMap::new();
         for (pos, (name, req, ctx)) in batch.into_iter().enumerate() {
@@ -392,46 +398,30 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
                 out[pos] = Some(Err(DispatchError::UnknownSession(name)));
             }
         }
-        type Queued<'a, F> = (&'a mut Session<F>, Queue);
-        let mut work: Vec<Queued<'_, F>> = Vec::new();
-        for (name, session) in self.sessions.iter_mut() {
-            if let Some(q) = queues.remove(name) {
-                work.push((session, q));
-            }
-        }
-        let results = compview_parallel::sharded_map_mut(
-            &mut work,
-            compview_parallel::num_threads(),
-            |_, (session, queue)| {
-                let fsync_ctx = queue.iter().find_map(|(_, _, ctx)| *ctx);
-                session.set_deferred_sync(true);
-                let mut answers: Vec<(usize, bool, Result<_, _>)> = queue
-                    .iter()
-                    .map(|(pos, req, ctx)| {
-                        let answer = match ctx {
-                            Some(c) => session.serve_traced(req.clone(), *c),
-                            None => session.serve(req.clone()),
-                        };
-                        (*pos, req.is_durable(), answer)
-                    })
-                    .collect();
-                session.set_deferred_sync(false);
-                if let Err(e) = session.flush_wal_traced(fsync_ctx) {
-                    // The group fsync failed: nothing appended during
-                    // this queue is known durable, so no durable request
-                    // may stay acknowledged.
-                    for (_, durable, answer) in answers.iter_mut() {
-                        if *durable && answer.is_ok() {
-                            *answer = Err(e.clone());
-                        }
-                    }
+        for (name, queue) in queues {
+            let session = self.sessions.get_mut(&name).expect("queued sessions exist");
+            let fsync_ctx = queue.iter().find_map(|(_, _, ctx)| *ctx);
+            let mut acked = Vec::new();
+            session.set_deferred_sync(true);
+            for (pos, req, ctx) in queue {
+                let durable = req.is_durable();
+                let answer = match ctx {
+                    Some(c) => session.serve_traced(req, c),
+                    None => session.serve(req),
+                };
+                if durable && answer.is_ok() {
+                    acked.push(pos);
                 }
-                answers
-            },
-        );
-        for chunk in results {
-            for (pos, _, r) in chunk {
-                out[pos] = Some(r.map_err(DispatchError::Session));
+                out[pos] = Some(answer.map_err(DispatchError::Session));
+            }
+            session.set_deferred_sync(false);
+            if let Err(e) = session.flush_wal_traced(fsync_ctx) {
+                // The group fsync failed: nothing appended during this
+                // queue is known durable, so no durable request may stay
+                // acknowledged.
+                for pos in acked {
+                    out[pos] = Some(Err(DispatchError::Session(e.clone())));
+                }
             }
         }
         let answers = out
@@ -557,10 +547,11 @@ impl<F: ComponentFamily + Send + Sync> ShardedService<F> {
         Service::merge(self.shards)
     }
 
-    /// [`Service::dispatch`], fanned across the shards: each shard's
-    /// sub-batch runs concurrently on its own thread, results return in
-    /// batch order, byte-identical to unsharded dispatch (see the type
-    /// docs).
+    /// [`Service::dispatch`], fanned across the shards: the first shard
+    /// with work runs its sub-batch on the calling thread and every other
+    /// shard with work on a thread of its own (so a batch that touches
+    /// one shard starts no thread); results return in batch order,
+    /// byte-identical to unsharded dispatch (see the type docs).
     pub fn dispatch(
         &mut self,
         batch: Vec<(String, SessionRequest)>,
@@ -570,34 +561,37 @@ impl<F: ComponentFamily + Send + Sync> ShardedService<F> {
         let mut sub: Vec<Vec<(usize, String, SessionRequest)>> =
             (0..n).map(|_| Vec::new()).collect();
         for (pos, (name, req)) in batch.into_iter().enumerate() {
-            let i = shard_of(&name, n);
-            sub[i].push((pos, name, req));
+            sub[shard_of(&name, n)].push((pos, name, req));
         }
-        let mut out: Vec<Option<Result<SessionResponse, DispatchError>>> =
-            (0..total).map(|_| None).collect();
-        type ShardResults = Vec<(Vec<usize>, Vec<Result<SessionResponse, DispatchError>>)>;
-        let results: ShardResults = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(sub)
-                .map(|(service, items)| {
-                    scope.spawn(move || {
-                        let mut positions = Vec::with_capacity(items.len());
-                        let mut shard_batch = Vec::with_capacity(items.len());
-                        for (pos, name, req) in items {
-                            positions.push(pos);
-                            shard_batch.push((name, req));
-                        }
-                        (positions, service.dispatch(shard_batch))
-                    })
-                })
-                .collect();
-            handles
+        let run = |service: &mut Service<F>, items: Vec<(usize, String, SessionRequest)>| {
+            let (positions, shard_batch): (Vec<usize>, Vec<_>) = items
                 .into_iter()
-                .map(|h| h.join().expect("shard dispatch panicked"))
+                .map(|(pos, name, req)| (pos, (name, req)))
+                .unzip();
+            (positions, service.dispatch(shard_batch))
+        };
+        let mut busy = self
+            .shards
+            .iter_mut()
+            .zip(sub)
+            .filter(|(_, items)| !items.is_empty());
+        let first = busy.next();
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = busy
+                .map(|(service, items)| scope.spawn(move || run(service, items)))
+                .collect();
+            let inline = first.map(|(service, items)| run(service, items));
+            inline
+                .into_iter()
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("shard dispatch panicked")),
+                )
                 .collect()
         });
+        let mut out: Vec<Option<Result<SessionResponse, DispatchError>>> =
+            (0..total).map(|_| None).collect();
         for (positions, answers) in results {
             for (pos, answer) in positions.into_iter().zip(answers) {
                 out[pos] = Some(answer);

@@ -7,8 +7,8 @@ use compview_core::{CatalogError, ComponentFamily, EditError, SubschemaComponent
 use compview_logic::Schema;
 use compview_relation::{rel, v, Instance, RelDecl, Relation, Signature, Tuple};
 use compview_session::{
-    DispatchError, Service, Session, SessionConfig, SessionError, SessionRequest, SessionResponse,
-    SessionStats,
+    DispatchError, FaultPlan, FaultyStore, LogStore, MemStore, Service, Session, SessionConfig,
+    SessionError, SessionRequest, SessionResponse, SessionStats, SyncPolicy,
 };
 use std::collections::BTreeMap;
 
@@ -821,8 +821,32 @@ fn sharded_dispatch_is_byte_identical_to_unsharded() {
         }
     }
 
-    // The routing hash is pinned: stable across runs and platforms.
+    // Two more inputs: a batch whose sessions all live on one shard (so
+    // dispatch runs it inline) and an empty batch.
     use compview_session::shard_of;
+    for shards in [1usize, 2, 8] {
+        let home = shard_of("alpha", shards);
+        let one_shard: Vec<_> = demo_batch()
+            .into_iter()
+            .filter(|(name, _)| shard_of(name, shards) == home)
+            .collect();
+        for batch in [one_shard, Vec::new()] {
+            let mut baseline = build();
+            let expect = baseline.dispatch(batch.clone());
+            let mut sharded = compview_session::ShardedService::new(build(), shards);
+            assert_eq!(sharded.dispatch(batch), expect, "shards = {shards}");
+            let merged = sharded.into_service();
+            for name in ["alpha", "beta", "gamma"] {
+                assert_eq!(
+                    merged.session(name).unwrap().state(),
+                    baseline.session(name).unwrap().state(),
+                    "{name} at shards = {shards}"
+                );
+            }
+        }
+    }
+
+    // The routing hash is pinned: stable across runs and platforms.
     assert_eq!(shard_of("alpha", 1), 0);
     assert_eq!(shard_of("", 4), shard_of("", 4));
     for name in ["alpha", "beta", "gamma", "orders"] {
@@ -830,6 +854,83 @@ fn sharded_dispatch_is_byte_identical_to_unsharded() {
             assert!(shard_of(name, shards) < shards);
         }
     }
+}
+
+#[test]
+fn failed_group_commit_unacknowledges_only_that_sessions_writes() {
+    let durable = |store: Box<dyn LogStore>| {
+        let sig = sig();
+        Session::open_durable(
+            SubschemaComponents::singletons(sig.clone()),
+            Schema::unconstrained(sig.clone()),
+            &pools(),
+            Instance::null_model(&sig).with("R", rel(1, [["a1"]])),
+            SessionConfig::default(),
+            store,
+            SyncPolicy::Always,
+        )
+        .unwrap()
+    };
+    // Sync #1 is open_durable's initial snapshot; #2 is the batch's
+    // group-commit flush.
+    let (faulty, _) = FaultyStore::new(FaultPlan {
+        fail_sync_at: Some(2),
+        ..FaultPlan::default()
+    });
+    let mut svc: Service<SubschemaComponents> = Service::new();
+    svc.add_session("faulty", durable(Box::new(faulty)))
+        .unwrap();
+    svc.add_session("healthy", durable(Box::new(MemStore::new().0)))
+        .unwrap();
+    let new_state = Instance::null_model(&sig()).with("R", rel(1, [["a2"]]));
+    let mut batch = Vec::new();
+    for name in ["faulty", "healthy"] {
+        batch.push((
+            name.to_owned(),
+            SessionRequest::RegisterView {
+                name: "r".into(),
+                mask: 0b01,
+            },
+        ));
+    }
+    for name in ["healthy", "faulty"] {
+        batch.push((
+            name.to_owned(),
+            SessionRequest::Update {
+                view: "r".into(),
+                new_state: new_state.clone(),
+            },
+        ));
+    }
+    for name in ["faulty", "healthy"] {
+        batch.push((name.to_owned(), SessionRequest::Read { view: "r".into() }));
+    }
+    let answers = svc.dispatch(batch);
+    assert_eq!(answers.len(), 6);
+
+    let durability = |answer: &Result<SessionResponse, DispatchError>| {
+        matches!(
+            answer,
+            Err(DispatchError::Session(e)) if e.variant_label() == "Durability"
+        )
+    };
+    // Positions 0 / 3: the faulty session's durable requests.
+    assert!(durability(&answers[0]), "{:?}", answers[0]);
+    assert!(durability(&answers[3]), "{:?}", answers[3]);
+    // Positions 1 / 2 / 5: the healthy session is untouched by the fault.
+    assert!(matches!(
+        &answers[1],
+        Ok(SessionResponse::Registered { view, .. }) if view == "r"
+    ));
+    assert!(matches!(&answers[2], Ok(SessionResponse::Updated(_))));
+    assert!(
+        matches!(&answers[5], Ok(SessionResponse::State(_))),
+        "{:?}",
+        answers[5]
+    );
+    // Position 4: the faulty session's read is not durable and stays Ok;
+    // both sessions served the same requests, so it reads the same view.
+    assert_eq!(answers[4], answers[5]);
 }
 
 #[test]
